@@ -12,9 +12,9 @@ import (
 // Interned label ids are process-local (difc/intern.go): node 7's id 42
 // names whatever node 7 interned 42nd. When labels cross the wire they
 // travel in full canonical form, but the sender ALSO sends its interned
-// ids, and the receiver binds (peer, peer-epoch, remote-id) → local
-// interned labels in a remap table. Within one incarnation the binding
-// is stable — the same remote id always resolves to the same lattice
+// ids, and the receiver binds (peer, peer-epoch, remote-id) → the labels
+// carried on the wire in a remap table. Within one incarnation the
+// binding is stable — the same remote id always resolves to the same lattice
 // point, so repeated routed opens and future id-only references cost a
 // map hit instead of a parse.
 //
@@ -90,18 +90,17 @@ func (c *Cluster) checkEpoch(peer, epoch uint64, site string) bool {
 }
 
 // bindRemote records a peer's interned-id → labels binding for its
-// current epoch and returns the locally interned labels. locked.
+// current epoch and returns the labels. locked.
 func (c *Cluster) bindRemote(peer, epoch, sID, iID uint64, labels difc.Labels) difc.Labels {
-	local := difc.InternLabels(labels)
 	rt, ok := c.remap[peer]
 	if !ok || rt.epoch != epoch {
 		rt = &remapTable{epoch: epoch, byID: make(map[remapKey]difc.Labels)}
 		c.remap[peer] = rt
 	}
 	if sID != 0 || iID != 0 {
-		rt.byID[remapKey{sID, iID}] = local
+		rt.byID[remapKey{sID, iID}] = labels
 	}
-	return local
+	return labels
 }
 
 // ResolveRemote resolves a peer's interned-id pair against the remap

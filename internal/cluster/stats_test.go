@@ -167,7 +167,8 @@ func TestStatsDisabled(t *testing.T) {
 
 // TestStatsBlobDecodeFailureIsProvenance: a syntactically valid control
 // frame whose JSON blob does not decode is dropped with a LayerCluster
-// denial event, never a crash or partial apply.
+// denial event, never a crash or partial apply; a blob that decodes but
+// carries keys this build no longer has is accepted and merged.
 func TestStatsBlobDecodeFailureIsProvenance(t *testing.T) {
 	n1 := bootCluster(t, Config{ID: 1})
 	if _, err := n1.cl.Join(); err != nil {
@@ -188,6 +189,36 @@ func TestStatsBlobDecodeFailureIsProvenance(t *testing.T) {
 	}
 	if len(n1.cl.ClusterSnapshot().Nodes) != 1 {
 		t.Fatal("undecodable stats blob was cached")
+	}
+
+	// A peer running a build from before the flow-cache counters were
+	// dropped still sends flow_cache_* keys. Its blob must decode, be
+	// cached and merge; the keys it alone knows are ignored.
+	denies = 0
+	old := []byte(`{"level":"deny","events":5,"denials":3,"fault_trips":0,` +
+		`"flow_cache_hits":900,"flow_cache_misses":12,"flow_cache_evictions":1,` +
+		`"intern_hits":40,"intern_misses":2,"verdict_cache_hits":7}`)
+	n1.cl.mu.Lock()
+	n1.cl.onStats(ctrlMsg{Type: msgStats, From: 9, Epoch: 1, Blob: old})
+	n1.cl.mu.Unlock()
+	if denies != 0 {
+		t.Fatal("stats blob carrying flow_cache_* keys was refused")
+	}
+	cs := n1.cl.ClusterSnapshot()
+	if len(cs.Nodes) != 2 {
+		t.Fatalf("stats blob carrying flow_cache_* keys not cached: %d slices", len(cs.Nodes))
+	}
+	var peer telemetry.MetricsSnapshot
+	for _, ns := range cs.Nodes {
+		if ns.Node == 9 {
+			peer = ns.Snapshot
+		}
+	}
+	if peer.Denials != 3 || peer.InternHits != 40 || peer.VerdictCacheHits != 7 {
+		t.Fatalf("decoded peer slice = %+v", peer)
+	}
+	if cs.Merged.Denials < 3 || cs.Merged.InternHits < 40 || cs.Merged.VerdictCacheHits < 7 {
+		t.Fatalf("peer slice not merged: %+v", cs.Merged)
 	}
 }
 

@@ -6,22 +6,26 @@ import (
 	"sync/atomic"
 )
 
-// Label interning gives hot labels a canonical numeric identity so the
-// flow cache (flowcache.go) can key subset queries on a pair of small
-// integers instead of walking tag slices. Interning is purely an
-// acceleration: an interned label is observably identical to its
-// un-interned twin — same tags, same Equal/SubsetOf/String results — it
-// just additionally carries a process-global id that survives copying
-// (labels are immutable values, so the id can never go stale).
+// Label interning gives a label a canonical, process-global numeric
+// identity. It exists for the code that reads that identity back:
+// telemetry provenance events record label ids instead of copying tag
+// sets (LabelByID resolves them for dumps, replay and explain-route), and
+// cluster routes carry the origin's ids so relays can bind them in their
+// remap tables. Enforcement never needs it: SubsetOf and the other label
+// operations are pure functions of the tag sets. An interned label is
+// observably identical to its un-interned twin — same tags, same
+// Equal/SubsetOf/String results — and the id survives copying (labels
+// are immutable values, so the id can never go stale).
 //
 // The table is global and shared by every kernel/module instance in the
 // process. That is sound because a label's identity is exactly its tag
-// set and subset answers are purely set-theoretic: two modules that
-// allocate the same numeric tags mean the same lattice points.
+// set: two modules that allocate the same numeric tags mean the same
+// lattice points.
 //
 // The table is bounded: past maxInternedPerShard entries a shard stops
 // admitting new labels and Intern degrades to the identity function.
-// Degradation is safe — an id of zero simply means "uncached slow path".
+// Degradation is safe — an id of zero means "no id", which provenance
+// records as an unresolvable operand.
 
 const (
 	internShardCount    = 64
@@ -79,7 +83,7 @@ func internShardFor(tags []Tag) *internShard {
 // canonical id. Calling it twice with equal labels yields labels with
 // the same id; the result compares Equal to the input in every way.
 // When the intern table shard is full the input is returned unchanged
-// (id 0), which only costs cache hits, never correctness.
+// (id 0), which costs provenance its operand, never correctness.
 func Intern(l Label) Label {
 	if l.id != 0 {
 		return l
@@ -155,3 +159,10 @@ func (l Label) Interned() bool { return l.id != 0 }
 func InternStats() (hits, misses uint64) {
 	return internHits.Load(), internMisses.Load()
 }
+
+// FlowCacheStats always returns zeros: SubsetOf keeps no memo table, so
+// there are no hits, misses or evictions to count. It exists only
+// because the end-to-end benchmark harness (perfbench/trace.go) still
+// reads it for its difc.flowcache_* per-layer metrics; delete it when
+// that harness drops them.
+func FlowCacheStats() (hits, misses, evictions uint64) { return 0, 0, 0 }

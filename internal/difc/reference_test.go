@@ -1,6 +1,7 @@
 package difc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -24,6 +25,17 @@ func refEqual(m refSet, l Label) bool {
 	}
 	for t := range m {
 		if !l.Has(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// refSubset is the reference model of a ⊆ b.
+func refSubset(a, b Label) bool {
+	bm := toRef(b)
+	for t := range toRef(a) {
+		if !bm[t] {
 			return false
 		}
 	}
@@ -77,18 +89,63 @@ func TestDiffMinus(t *testing.T) {
 
 func TestDiffSubsetOf(t *testing.T) {
 	f := func(a, b Label) bool {
-		bm := toRef(b)
-		want := true
-		for t := range toRef(a) {
-			if !bm[t] {
-				want = false
-				break
-			}
-		}
-		return want == a.SubsetOf(b)
+		return refSubset(a, b) == a.SubsetOf(b)
 	}
 	if err := quick.Check(f, quickCfg(t, 1000)); err != nil {
 		t.Error(err)
+	}
+
+	// Large operands. The generator above draws at most 5 tags, so it
+	// never pits a small label against a much larger one — the only case
+	// the binary-search walk serves. Supersets of up to 200 tags have
+	// gaps of at least 2 between tags, so a tag one above a member is
+	// missing from inside the range. Candidate subsets are made by
+	// removing tags from the superset (sizes random and at the
+	// searchRatio cutoff ±1) and then perturbing one tag to a value
+	// below, inside or above the superset's range. Each pair is checked
+	// in both directions across inline and heap twins.
+	r := rand.New(rand.NewSource(*difcSeed))
+	check := func(a, b []Tag) {
+		t.Helper()
+		for _, x := range []Label{NewLabel(a...), newLabelHeap(a...)} {
+			for _, y := range []Label{NewLabel(b...), newLabelHeap(b...)} {
+				if got, want := x.SubsetOf(y), refSubset(x, y); got != want {
+					t.Fatalf("%v ⊆ %v = %v, reference says %v", x, y, got, want)
+				}
+				if got, want := y.SubsetOf(x), refSubset(y, x); got != want {
+					t.Fatalf("%v ⊆ %v = %v, reference says %v", y, x, got, want)
+				}
+			}
+		}
+	}
+	for iter := 0; iter < 300; iter++ {
+		nb := 1 + r.Intn(200)
+		super := make([]Tag, nb)
+		cur := Tag(10)
+		for i := range super {
+			cur += Tag(2 + r.Intn(3))
+			super[i] = cur
+		}
+		cut := nb / searchRatio
+		for _, na := range []int{r.Intn(nb + 1), cut - 1, cut, cut + 1} {
+			if na < 0 || na > nb {
+				continue
+			}
+			sub := make([]Tag, 0, na)
+			for _, i := range r.Perm(nb)[:na] {
+				sub = append(sub, super[i])
+			}
+			check(sub, super)
+			if na == 0 {
+				continue
+			}
+			inside := super[r.Intn(max(nb-1, 1))] + 1
+			for _, miss := range []Tag{super[0] - 1, inside, super[nb-1] + 1} {
+				bad := append([]Tag(nil), sub...)
+				bad[r.Intn(na)] = miss
+				check(bad, super)
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package lmbench
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"laminar/internal/kernel"
@@ -26,7 +27,7 @@ type Benchmark struct {
 type Result struct {
 	Name         string
 	BaseNanos    float64 // per-op, unmodified kernel
-	LaminarNanos float64 // per-op, Laminar module installed
+	LaminarNanos float64 // per-op, Laminar module installed (see Run)
 }
 
 // OverheadPct returns the relative overhead in percent.
@@ -210,56 +211,95 @@ func newKernel(withLSM bool) (*kernel.Kernel, *kernel.Task, error) {
 	return k, t, nil
 }
 
-// measure times iters executions of one benchmark on a fresh kernel.
-func measure(b Benchmark, withLSM bool, iters int) (float64, error) {
+// pairBlock is the number of iterations timed on one kernel before
+// switching to the other. A block of null I/O takes about 50 µs, far
+// shorter than a scheduler time slice, so a host stall usually lands in
+// one block and moves only that block pair's ratio.
+const pairBlock = 100
+
+// prepare builds a fresh kernel (with or without the Laminar module),
+// sets the benchmark up on it and warms it up.
+func prepare(b Benchmark, withLSM bool) (func() error, error) {
 	k, t, err := newKernel(withLSM)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	body, err := b.Setup(k, t)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	// Warm up.
-	for i := 0; i < 16; i++ {
-		if err := body(); err != nil {
-			return 0, err
-		}
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := body(); err != nil {
-			return 0, err
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(iters), nil
+	_, err = timeRuns(body, 16)
+	return body, err
 }
 
-// Run executes the whole suite, returning one Result per benchmark. iters
-// controls the per-benchmark iteration count; trials repeats each
-// measurement and keeps the minimum (lmbench's own strategy against
-// scheduling noise).
+// timeRuns runs body n times and returns the mean nanoseconds per run.
+func timeRuns(body func() error, n int) (float64, error) {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if err := body(); err != nil {
+			return 0, err
+		}
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(n), nil
+}
+
+// Run executes the whole suite, returning one Result per benchmark. Each
+// of trials builds a fresh bare and a fresh Laminar kernel and runs iters
+// iterations (whole blocks only) on each, in alternating blocks of
+// pairBlock iterations; every
+// block pair is one paired trial yielding one laminar/base ratio, and the
+// order within a pair alternates from pair to pair. The row reports the
+// median base block latency and, as LaminarNanos, that base scaled by the
+// median ratio, so OverheadPct is the median paired overhead. Pairing is
+// what keeps the row steady: the host's speed drifts between windows (on
+// a 2-core amd64 host bare null I/O read about 400 or about 600 ns from
+// one fresh kernel to the next), and a minimum taken per side can set a
+// fast bare window against a slow Laminar one, while a block pair sees
+// both kernels at nearly the same moment.
 func Run(iters, trials int) ([]Result, error) {
+	block := max(1, min(iters, pairBlock))
+	sides := [2]string{"base", "laminar"}
+	order := [2][2]int{{0, 1}, {1, 0}}
 	var out []Result
 	for _, b := range Suite() {
-		res := Result{Name: b.Name}
+		var bases, ratios []float64
 		for trial := 0; trial < trials; trial++ {
-			base, err := measure(b, false, iters)
-			if err != nil {
-				return nil, fmt.Errorf("%s (base): %w", b.Name, err)
+			var bodies [2]func() error // [0] bare kernel, [1] Laminar
+			for i := range bodies {
+				var err error
+				if bodies[i], err = prepare(b, i == 1); err != nil {
+					return nil, fmt.Errorf("%s (%s): %w", b.Name, sides[i], err)
+				}
 			}
-			lam, err := measure(b, true, iters)
-			if err != nil {
-				return nil, fmt.Errorf("%s (laminar): %w", b.Name, err)
-			}
-			if trial == 0 || base < res.BaseNanos {
-				res.BaseNanos = base
-			}
-			if trial == 0 || lam < res.LaminarNanos {
-				res.LaminarNanos = lam
+			for done := 0; done+block <= iters; done += block {
+				var ns [2]float64
+				for _, i := range order[len(ratios)%2] {
+					var err error
+					if ns[i], err = timeRuns(bodies[i], block); err != nil {
+						return nil, fmt.Errorf("%s (%s): %w", b.Name, sides[i], err)
+					}
+				}
+				bases = append(bases, ns[0])
+				ratios = append(ratios, ns[1]/ns[0])
 			}
 		}
+		res := Result{Name: b.Name, BaseNanos: median(bases)}
+		res.LaminarNanos = res.BaseNanos * median(ratios)
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// median returns the median of xs (the mean of the middle two for an even
+// count, 0 for none), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
