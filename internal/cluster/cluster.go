@@ -87,6 +87,7 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	now     uint64 // logical tick counter; all timing derives from it
+	beats   uint64 // heartbeats sent; paces the dead-member probes
 	epoch   uint64 // this incarnation's persisted epoch
 	members map[uint64]*member
 	remap   map[uint64]*remapTable

@@ -142,6 +142,28 @@ func TestFailureDetectionSuspectThenDead(t *testing.T) {
 	}
 }
 
+// TestMutuallyDeadMembersHeal: a stalled transport can let every live
+// node's detector declare every peer dead. Heartbeats skip the dead, so
+// only the periodic dead-member probe can bring such a cluster back.
+func TestMutuallyDeadMembersHeal(t *testing.T) {
+	nodes := formCluster(t, 3)
+	for _, n := range nodes {
+		n.cl.mu.Lock()
+		for _, m := range n.cl.members {
+			m.state = StateDead
+		}
+		n.cl.mu.Unlock()
+	}
+	tickUntil(t, func() bool {
+		for _, n := range nodes {
+			if !n.cl.Converged(1, 2, 3) {
+				return false
+			}
+		}
+		return true
+	}, nodes...)
+}
+
 func TestStaleEpochRejectedFailClosed(t *testing.T) {
 	a := bootCluster(t, Config{ID: 1})
 	// Node 9 speaks at epoch 5...

@@ -186,15 +186,27 @@ func (c *Cluster) detect() {
 	}
 }
 
+// deadProbeEvery spaces the heartbeats that also ping dead members.
+// Dead is a verdict on silence, not proof of death: two live nodes whose
+// links stalled past DeadAfter can each declare the other dead, and if
+// neither ever pinged the dead again they would stay partitioned for
+// good. A rare probe lets the receiver observe the sender directly, which
+// revives it there, and the receiver's own next heartbeat revives it on
+// the other side. A peer that is really gone just fails the dial.
+const deadProbeEvery = 6
+
 // heartbeat sends a ping (with full membership gossip) to every member
-// not yet declared dead. Send failures are silence — the peer's detector
-// handles them. locked on entry; unlocks around the sends.
+// not yet declared dead, and on every deadProbeEvery-th beat to the dead
+// too. Send failures are silence — the peer's detector handles them.
+// locked on entry; unlocks around the sends.
 func (c *Cluster) heartbeat() {
 	msg := encodeCtrl(ctrlMsg{Type: msgPing, From: c.cfg.ID, Epoch: c.epoch,
 		Addr: c.node.Addr(), Members: c.memberWireLocked()})
+	c.beats++
+	probeDead := c.beats%deadProbeEvery == 0
 	targets := make([]string, 0, len(c.members))
 	for _, m := range c.members {
-		if m.state != StateDead {
+		if m.state != StateDead || probeDead {
 			targets = append(targets, m.addr)
 		}
 	}

@@ -560,6 +560,8 @@ func (m *Module) SetTaskLabel(t *kernel.Task, typ kernel.LabelType, l difc.Label
 			return err
 		}
 	}
+	// Every check has passed: install the new label, then bump the epoch
+	// so verdicts cached against the old label are not reused.
 	if typ == kernel.Secrecy {
 		s.labels.S = l
 	} else {

@@ -228,6 +228,13 @@ func (c *conn) takeInbox() []Frame {
 	return frames
 }
 
+// inboxEmpty reports whether every received frame has been taken.
+func (c *conn) inboxEmpty() bool {
+	c.inMu.Lock()
+	defer c.inMu.Unlock()
+	return len(c.inbox) == 0
+}
+
 // readFrameSync reads exactly one frame synchronously (handshake only).
 func readFrameSync(nc net.Conn, deadline time.Duration) (Frame, error) {
 	nc.SetReadDeadline(time.Now().Add(deadline))

@@ -236,7 +236,7 @@ func (n *Node) acceptLoop(ln net.Listener) {
 			continue
 		}
 		n.mu.Lock()
-		closed, total := n.closed, len(n.conns)
+		closed, total := n.closed, n.pruneDeadLocked()
 		n.mu.Unlock()
 		if closed {
 			nc.Close()
@@ -342,12 +342,36 @@ func (n *Node) register(c *conn) bool {
 		c.kill()
 		return false
 	}
+	n.pruneDeadLocked()
 	n.conns = append(n.conns, c)
 	if c.addr != "" {
 		n.dialed[c.addr] = c
 	}
 	n.mu.Unlock()
 	return true
+}
+
+// pruneDeadLocked drops killed links whose received frames have all been
+// applied and returns how many links remain. Without it every link that
+// a fault, a peer restart or a failed exchange killed would count against
+// MaxConns for the node's lifetime, and a long-lived node under churn
+// would end up shedding every accept at the door. Called with n.mu held.
+func (n *Node) pruneDeadLocked() int {
+	live := n.conns[:0]
+	for _, c := range n.conns {
+		if c.isDead() && c.inboxEmpty() {
+			if n.dialed[c.addr] == c {
+				delete(n.dialed, c.addr)
+			}
+			continue
+		}
+		live = append(live, c)
+	}
+	for i := len(live); i < len(n.conns); i++ {
+		n.conns[i] = nil
+	}
+	n.conns = live
+	return len(live)
 }
 
 // dial returns the pooled connection to addr, establishing one with

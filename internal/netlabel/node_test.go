@@ -278,6 +278,40 @@ func TestMalformedFrameKillsConnection(t *testing.T) {
 	}
 }
 
+// TestDeadLinksFreeConnectionSlots: a link the peer closed must stop
+// counting against MaxConns, or a node that outlives a few dead peers
+// sheds every later accept at the door.
+func TestDeadLinksFreeConnectionSlots(t *testing.T) {
+	b := bootNode(t, Config{NodeID: 2, MaxConns: 2})
+	for i := 0; i < 5; i++ {
+		nc, err := net.Dial("tcp", b.node.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrameSync(nc, Frame{Version: Version, Type: FrameHello,
+			Payload: AppendHello(nil, Version, 7)}); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := readFrameSync(nc, 5*time.Second); err != nil || f.Type != FrameHelloAck {
+			t.Fatalf("link %d: handshake: %v (type %v), want accepted", i, err, f.Type)
+		}
+		nc.Close()
+		pumpUntil(t, func() bool {
+			b.node.mu.Lock()
+			defer b.node.mu.Unlock()
+			for _, c := range b.node.conns {
+				if !c.isDead() {
+					return false
+				}
+			}
+			return true
+		}, b)
+	}
+	if shed := b.rec.M.Extra.Get("net.accept.shed").Load(); shed != 0 {
+		t.Errorf("%d accepts shed with no live link", shed)
+	}
+}
+
 func TestConnectionPoolReuse(t *testing.T) {
 	a := bootNode(t, Config{NodeID: 1})
 	b := bootNode(t, Config{NodeID: 2})

@@ -130,6 +130,24 @@ func traceDenyRouted(t *testing.T, members []*traceMember, secret difc.Labels, s
 		t.Fatal("node 3 recorded no fresh traced denial")
 	}
 	seen[traceID] = true
+
+	// Node 3 can accept the onward leg before the relay has pumped the
+	// probe byte: the routed open and the data travel as separate frames.
+	// Tick until the relay has forwarded it, so its read and write checks
+	// are in node 2's ring before the caller dumps it.
+	n2 := members[1]
+	deadline = time.Now().Add(20 * time.Second)
+	for relayed := false; !relayed; {
+		if time.Now().After(deadline) {
+			t.Fatal("relay at node 2 never forwarded the traced probe")
+		}
+		traceTickAll(members)
+		for _, e := range n2.rec.Snapshot() {
+			if e.TraceID == traceID && e.TraceHop == 1 && e.Kind == telemetry.KindAllow && e.Op == "write" {
+				relayed = true
+			}
+		}
+	}
 	return traceID
 }
 
